@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-budget bench bench-compare bench-baseline
+.PHONY: build test race fmt-check lint lint-budget bench bench-compare bench-baseline
 
 build:
 	$(GO) build ./...
@@ -18,16 +18,24 @@ race:
 # suite (docs/LINTING.md): determinism of the simulator and artifact
 # rendering (including the whole-program dettaint/cachekey analyzers),
 # cancellation flow, and the harness error taxonomy.
-lint:
+lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/mcdlint ./...
+
+# fmt-check fails when gofmt would rewrite any Go file in the tree
+# (lint fixtures and the mcdbench module included) and names them.
+fmt-check:
+	@unformatted=$$($$($(GO) env GOROOT)/bin/gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 
 # lint-budget is what CI runs: the same checks, timed, with a 60s
 # ceiling on the mcdlint pass. The interprocedural analyzers build a
 # whole-program call graph; this gate keeps that from quietly growing
 # into a multi-minute CI tax. The timing is echoed so the job log
 # tracks the trend.
-lint-budget:
+lint-budget: fmt-check
 	$(GO) vet ./...
 	$(GO) build -o /tmp/mcdlint-ci ./cmd/mcdlint
 	@start=$$(date +%s); \

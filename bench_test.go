@@ -429,6 +429,7 @@ func BenchmarkMultitaperSpectrum(b *testing.B) {
 	for i := range x {
 		x[i] = float64(i%17) + float64(i%257)/10
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := spectrum.Multitaper(x, 5); err != nil {

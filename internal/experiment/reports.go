@@ -81,15 +81,19 @@ func ClassifyBenchmarks(opt Options) ([]BenchClass, error) {
 			return err
 		}
 		bc := BenchClass{Name: b, Suite: prof.Suite, IPC: res.IPC}
+		var series [][]float64
 		for _, dom := range []string{mcd.NameInt, mcd.NameFP, mcd.NameLS} {
-			samples := res.QueueSamples[dom]
-			if len(samples) < 64 {
-				continue
+			if samples := res.QueueSamples[dom]; len(samples) >= 64 {
+				series = append(series, samples)
 			}
-			cl, err := spectrum.Classify(samples, spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold)
-			if err != nil {
-				return err
-			}
+		}
+		// The queues are sampled together, so their equal-length series
+		// share one FFT plan and taper set.
+		cls, err := spectrum.ClassifyAll(series, spectrum.DefaultIntervalSamples, spectrum.DefaultFastShareThreshold)
+		if err != nil {
+			return err
+		}
+		for _, cl := range cls {
 			// Queues that barely move carry no exploitable signal.
 			if cl.TotalVariance < 0.5 {
 				continue

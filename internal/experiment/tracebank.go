@@ -44,7 +44,7 @@ type traceBank struct {
 }
 
 type bankEntry struct {
-	remaining int // cells (users or not) yet to call release
+	remaining int           // cells (users or not) yet to call release
 	done      chan struct{} // closed when rec/cf/err are set
 	rec       *trace.Recorded
 	cf        *trace.ChunkedFile // corpus mode; nil after a heal

@@ -97,48 +97,77 @@ func Multitaper(x []float64, k int) (*Spectrum, error) {
 }
 
 func estimate(x []float64, k int, taper bool) (*Spectrum, error) {
-	n := len(x)
-	if n < 8 {
-		return nil, fmt.Errorf("spectrum: series too short (%d samples)", n)
+	if err := checkLength(x); err != nil {
+		return nil, err
 	}
+	var tapers [][]float64
+	if taper {
+		tapers = SineTapers(len(x), k)
+	}
+	return newEstimator(len(x), tapers).estimate(x), nil
+}
+
+func checkLength(x []float64) error {
+	if len(x) < 8 {
+		return fmt.Errorf("spectrum: series too short (%d samples)", len(x))
+	}
+	return nil
+}
+
+// estimator is the spectral estimator for one series length: its FFT
+// plan (whose buffer every transform reuses) and its tapers are built
+// once and shared by every series of that length.
+type estimator struct {
+	n      int
+	tapers [][]float64 // nil: the boxcar periodogram
+	plan   *plan
+}
+
+func newEstimator(n int, tapers [][]float64) *estimator {
+	return &estimator{n: n, tapers: tapers, plan: newPlan(NextPow2(n), false)}
+}
+
+// estimate returns the spectrum of x, which must be e.n samples long.
+// The series is detrended and zero-padded to the transform length.
+func (e *estimator) estimate(x []float64) *Spectrum {
 	d := stats.Detrend(x)
-	nfft := NextPow2(n)
-	half := nfft / 2
-	power := make([]float64, half+1)
-
-	buf := make([]complex128, nfft)
-	accumulate := func(w []float64, scale float64) {
-		for i := range buf {
-			buf[i] = 0
-		}
-		for t := 0; t < n; t++ {
-			v := d[t]
-			if w != nil {
-				v *= w[t]
-			}
-			buf[t] = complex(v, 0)
-		}
-		X := FFT(buf)
-		for j := 1; j <= half; j++ {
-			p := real(X[j])*real(X[j]) + imag(X[j])*imag(X[j])
-			if j != half {
-				p *= 2 // fold the conjugate-symmetric half
-			}
-			power[j] += p * scale
-		}
-	}
-
-	if !taper {
+	nfft := len(e.plan.buf)
+	power := make([]float64, nfft/2+1)
+	if e.tapers == nil {
 		// Periodogram normalization: Σ_j |X_j|²/(nfft·n) = variance.
-		accumulate(nil, 1/(float64(nfft)*float64(n)))
+		e.accumulate(power, d, nil, 1/(float64(nfft)*float64(e.n)))
 	} else {
-		tapers := SineTapers(n, k)
-		for _, w := range tapers {
+		for _, w := range e.tapers {
 			// Unit-energy taper: Σ_j |Y_j|²/nfft = Σ_t (w_t·x_t)² ≈ var·Σw².
-			accumulate(w, 1/(float64(nfft)*float64(k)))
+			e.accumulate(power, d, w, 1/(float64(nfft)*float64(len(e.tapers))))
 		}
 	}
-	return &Spectrum{Power: power, N: n, NFFT: nfft}, nil
+	return &Spectrum{Power: power, N: e.n, NFFT: nfft}
+}
+
+// accumulate adds scale times the one-sided periodogram of the series
+// d tapered by w (nil: untapered) into power.
+func (e *estimator) accumulate(power, d, w []float64, scale float64) {
+	buf := e.plan.buf
+	// Write the tapered, zero-padded series straight into bit-reversed
+	// order (the permutation is its own inverse).
+	clear(buf)
+	rev := e.plan.rev[:len(d)]
+	for t, v := range d {
+		if w != nil {
+			v *= w[t]
+		}
+		buf[rev[t]] = complex(v, 0)
+	}
+	e.plan.transform()
+	half := len(buf) / 2
+	for j := 1; j <= half; j++ {
+		p := real(buf[j])*real(buf[j]) + imag(buf[j])*imag(buf[j])
+		if j != half {
+			p *= 2 // fold the conjugate-symmetric half
+		}
+		power[j] += p * scale
+	}
 }
 
 // SineTapers returns the first k sine tapers of length n, normalized to
@@ -182,17 +211,41 @@ const DefaultNoiseSamples = 250
 // fixed-interval controller can react.
 const DefaultFastShareThreshold = 0.75
 
+// classifyTapers is the taper count of the classifier's multitaper
+// estimate.
+const classifyTapers = 5
+
 // Classify runs the paper's fast-workload-variation test on an
 // occupancy series using the multitaper estimator with 5 tapers.
 func Classify(x []float64, intervalSamples float64, threshold float64) (Classification, error) {
-	s, err := Multitaper(x, 5)
+	c, err := ClassifyAll([][]float64{x}, intervalSamples, threshold)
 	if err != nil {
 		return Classification{}, err
 	}
-	share := s.FastShare(DefaultNoiseSamples, intervalSamples)
-	return Classification{
-		ShortShare:    share,
-		TotalVariance: s.BandVariance(DefaultNoiseSamples, math.Inf(1)),
-		Fast:          share > threshold,
-	}, nil
+	return c[0], nil
+}
+
+// ClassifyAll classifies each series exactly as Classify would. The FFT
+// plan and the sine tapers are built once per series length rather
+// than once per series, so equal-length series (a benchmark's queues)
+// share them.
+func ClassifyAll(series [][]float64, intervalSamples float64, threshold float64) ([]Classification, error) {
+	out := make([]Classification, len(series))
+	var e *estimator
+	for i, x := range series {
+		if err := checkLength(x); err != nil {
+			return nil, err
+		}
+		if e == nil || e.n != len(x) {
+			e = newEstimator(len(x), SineTapers(len(x), classifyTapers))
+		}
+		s := e.estimate(x)
+		share := s.FastShare(DefaultNoiseSamples, intervalSamples)
+		out[i] = Classification{
+			ShortShare:    share,
+			TotalVariance: s.BandVariance(DefaultNoiseSamples, math.Inf(1)),
+			Fast:          share > threshold,
+		}
+	}
+	return out, nil
 }

@@ -55,8 +55,8 @@ func FuzzChunked(f *testing.F) {
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-5])     // truncated footer
-	f.Add(valid[:len(valid)*2/3])   // truncated index
+	f.Add(valid[:len(valid)-5])                         // truncated footer
+	f.Add(valid[:len(valid)*2/3])                       // truncated index
 	f.Add(append([]byte(nil), valid[len(valid)/4:]...)) // missing header
 	f.Add([]byte("MCDCgarbageXDCM"))
 	f.Add([]byte{})
