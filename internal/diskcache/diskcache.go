@@ -3,8 +3,10 @@
 // cache. Entries are keyed by the caller's content hash (for the
 // harness, the SHA-256 of everything that determines a simulation), so
 // a stored value never goes stale — a different input is a different
-// key — and the only invalidation ever needed is a FormatVersion bump
-// when the encoding itself changes.
+// key — and the only invalidation ever needed is a version bump when
+// an encoding changes: FormatVersion for the entry framing (old entries
+// then miss as stale), or the value codec's own version for the
+// payload (old entries then fail to decode and miss as corrupt).
 //
 // Durability model, in order of the failure modes that matter:
 //
@@ -30,17 +32,17 @@
 //     are counted in Stats and reported to an optional observer — the
 //     hook a circuit breaker latches onto (see internal/serve).
 //
-// Values are encoded with encoding/gob: binary-exact for float64 (the
-// harness's dominant payload is occupancy sample series) and several
-// times faster than JSON at the megabyte sizes simulation results
-// reach.
+// The store itself is a checksummed byte store. Values bring their own
+// encoding as encoding.BinaryMarshaler / encoding.BinaryUnmarshaler —
+// the harness stores mcd.Result and mcd.ChipResult, whose codec is
+// compact, deterministic, and bit-exact for every float — and the
+// store frames, checksums, and atomically publishes the bytes.
 package diskcache
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -53,11 +55,11 @@ import (
 	"time"
 )
 
-// FormatVersion is the on-disk encoding version. Bump it whenever the
-// entry header or payload encoding changes shape: every entry written
-// by an older version then misses with ErrVersionMismatch and is
-// lazily rewritten, instead of being misdecoded.
-const FormatVersion = 1
+// FormatVersion is the on-disk entry version. Bump it whenever the
+// entry layout or the meaning of its payload changes: every entry
+// written by an older version then misses with ErrVersionMismatch and
+// is lazily rewritten, instead of being misdecoded.
+const FormatVersion = 2
 
 // Store error taxonomy. Callers dispatch with errors.Is; every Get
 // failure wraps exactly one of these.
@@ -73,7 +75,7 @@ var (
 )
 
 // entry layout: magic(4) | version(u32 LE) | payload sha256(32) |
-// payload length(u64 LE) | gob payload.
+// payload length(u64 LE) | payload.
 const (
 	entryMagic  = "MCDR"
 	headerSize  = 4 + 4 + sha256.Size + 8
@@ -255,9 +257,9 @@ func (s *Store) count(f func(*Stats)) {
 // matrix replayed from disk reads one multi-megabyte entry per cell;
 // without reuse every hit allocates (and promptly garbage-collects) a
 // fresh blob, which dominated the warm-disk hit path's allocation
-// profile. Buffers are returned to the pool only after gob has copied
-// the payload into the caller's value, so no decoded data aliases a
-// pooled buffer.
+// profile. Buffers are returned to the pool only after UnmarshalBinary
+// has copied the payload into the caller's value (its contract forbids
+// retaining the bytes), so no decoded data aliases a pooled buffer.
 var blobPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
 
 // readEntry reads the file into a pooled buffer. The returned release
@@ -286,12 +288,11 @@ func readEntry(fsys FS, path string) (blob []byte, release func(), err error) {
 	return blob, release, nil
 }
 
-// Get decodes the entry for key into v (a pointer, as for
-// gob.Decoder.Decode). A missing entry returns ErrMiss; a damaged or
-// stale one is deleted and returns ErrCorrupt or ErrVersionMismatch.
-// On success the entry's mtime is refreshed so LRU eviction sees the
-// use.
-func (s *Store) Get(key [sha256.Size]byte, v any) error {
+// Get decodes the entry for key into v. A missing entry returns
+// ErrMiss; a damaged or stale one, or one v rejects, is deleted and
+// returns ErrCorrupt or ErrVersionMismatch. On success the entry's
+// mtime is refreshed so LRU eviction sees the use.
+func (s *Store) Get(key [sha256.Size]byte, v encoding.BinaryUnmarshaler) error {
 	fsys := s.fs()
 	path := s.path(key)
 	blob, release, err := readEntry(fsys, path)
@@ -321,7 +322,7 @@ func (s *Store) Get(key [sha256.Size]byte, v any) error {
 		s.observe(OpGet, nil)
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+	if err := v.UnmarshalBinary(payload); err != nil {
 		fsys.Remove(path) //nolint:errcheck // best-effort self-heal
 		s.count(func(st *Stats) { st.Corrupt++; st.Misses++ })
 		s.observe(OpGet, nil)
@@ -366,9 +367,9 @@ func decodeEntry(blob []byte) ([]byte, error) {
 // failures anywhere on that path (temp creation, writes, the rename)
 // are retried with exponential backoff per SetRetry before Put gives
 // up — a brief disk hiccup must not silently drop the entry.
-func (s *Store) Put(key [sha256.Size]byte, v any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+func (s *Store) Put(key [sha256.Size]byte, v encoding.BinaryMarshaler) error {
+	payload, err := v.MarshalBinary()
+	if err != nil {
 		// An unencodable value is the caller's bug, not disk weather:
 		// no retry, no observer signal.
 		return fmt.Errorf("diskcache: encoding entry: %w", err)
@@ -376,21 +377,20 @@ func (s *Store) Put(key [sha256.Size]byte, v any) error {
 	var header [headerSize]byte
 	copy(header[:4], entryMagic)
 	binary.LittleEndian.PutUint32(header[4:8], FormatVersion)
-	sum := sha256.Sum256(payload.Bytes())
+	sum := sha256.Sum256(payload)
 	copy(header[8:8+sha256.Size], sum[:])
-	binary.LittleEndian.PutUint64(header[8+sha256.Size:], uint64(payload.Len()))
+	binary.LittleEndian.PutUint64(header[8+sha256.Size:], uint64(len(payload)))
 
 	s.mu.Lock()
 	attempts, backoff := s.retryAttempts, s.retryBackoff
 	s.mu.Unlock()
 
-	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			s.count(func(st *Stats) { st.Retries++ })
 			time.Sleep(backoff << (attempt - 1))
 		}
-		if err = s.writeEntry(key, header[:], payload.Bytes()); err == nil {
+		if err = s.writeEntry(key, header[:], payload); err == nil {
 			break
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,22 +14,48 @@ import (
 	"time"
 )
 
+// payload is a test value with its own binary encoding, as every
+// stored value must have: the name, then the series as raw float bits.
 type payload struct {
-	Name    string
-	Series  []float64
-	ByName  map[string]int64
-	Nested  struct{ A, B float64 }
-	Version int
+	Name   string
+	Series []float64
+}
+
+func (p payload) MarshalBinary() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(p.Name)))
+	b = append(b, p.Name...)
+	b = binary.AppendUvarint(b, uint64(len(p.Series)))
+	for _, v := range p.Series {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b, nil
+}
+
+func (p *payload) UnmarshalBinary(b []byte) error {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return errors.New("bad name")
+	}
+	name := string(b[k : k+int(n)])
+	b = b[k+int(n):]
+	n, k = binary.Uvarint(b)
+	if k <= 0 || n != uint64(len(b)-k)/8 || (len(b)-k)%8 != 0 {
+		return errors.New("bad series")
+	}
+	b = b[k:]
+	var series []float64
+	if n > 0 {
+		series = make([]float64, n)
+		for i := range series {
+			series[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+	p.Name, p.Series = name, series
+	return nil
 }
 
 func samplePayload(n int) payload {
-	p := payload{
-		Name:    "gzip/adaptive",
-		ByName:  map[string]int64{"ialu": 123, "load": 456},
-		Version: 7,
-	}
-	p.Nested.A, p.Nested.B = 1.5, -2.25
-	p.Series = make([]float64, n)
+	p := payload{Name: "gzip/adaptive", Series: make([]float64, n)}
 	for i := range p.Series {
 		p.Series[i] = float64(i) * 0.3125
 	}
@@ -321,10 +348,10 @@ func TestOpenRunsInitialGC(t *testing.T) {
 // TestGetReusesReadBuffers is the allocation regression test for the
 // warm hit path: once the blob pool is warm, repeated Gets of a
 // multi-megabyte entry must not re-allocate the read buffer. The
-// decoded value's own storage (the Series slice, the map) is a real
-// cost of returning data and is excluded by measuring total heap bytes
-// against a budget of roughly twice the decoded size — far below the
-// ~2x entry-size churn the unpooled path paid per hit.
+// decoded value's own storage (the Series slice) is a real cost of
+// returning data and is excluded by measuring total heap bytes against
+// a budget of 1.25x the decoded size — the value plus slack for small
+// allocations, with no room for a second copy of the payload.
 func TestGetReusesReadBuffers(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -334,14 +361,17 @@ func TestGetReusesReadBuffers(t *testing.T) {
 	if err := s.Put(key(1), samplePayload(n)); err != nil {
 		t.Fatal(err)
 	}
-	var got payload
-	if err := s.Get(key(1), &got); err != nil { // warm the pool
-		t.Fatal(err)
-	}
 
-	const rounds = 8
+	const rounds = 16
 	var before, after runtime.MemStats
 	runtime.GC()
+	// Warm the pool after the GC: a collection demotes pooled buffers
+	// to the victim cache, where only the P that pooled one can reuse
+	// it.
+	var got payload
+	if err := s.Get(key(1), &got); err != nil {
+		t.Fatal(err)
+	}
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
 		var v payload
@@ -356,13 +386,17 @@ func TestGetReusesReadBuffers(t *testing.T) {
 
 	perGet := int64(after.TotalAlloc-before.TotalAlloc) / rounds
 	decoded := int64(n * 8)
-	// A warm Get pays for the decoded value itself (~decoded bytes)
-	// plus gob's internal message buffer (gob always copies the payload
-	// into a fresh per-Decoder buffer — about one more decoded-size
-	// allocation). The pooled blob must not add a third copy: hold the
-	// line at twice the decoded size, well under the ~3x the unpooled
-	// path paid.
-	budget := 2 * decoded
+	// A warm Get pays for the decoded value itself and nothing of
+	// entry size besides: the pooled blob is reused and UnmarshalBinary
+	// decodes straight out of it. A decoder that copies the payload
+	// first fails here: gob's per-Decoder message buffer measured 1.6x;
+	// an unpooled read buffer adds a further 1x.
+	budget := decoded + decoded/4
+	if raceEnabled {
+		// The race detector's pool drops about one read buffer in four,
+		// each costing a fresh entry-sized blob on the next Get.
+		budget = 2 * decoded
+	}
 	if perGet > budget {
 		t.Errorf("warm Get allocates %d B/op, budget %d (decoded payload is %d)",
 			perGet, budget, decoded)

@@ -162,6 +162,14 @@ func DiskCacheStats() (diskcache.Stats, error) {
 	return total, diskStores.openErr
 }
 
+// cacheKeyFormat versions the cache-key derivation. It is separate
+// from diskcache.FormatVersion, which versions the entry bytes: an
+// encoding change bumps only the latter, so the entries an older
+// encoding wrote sit under the same keys and are found, rejected as
+// stale, and rewritten in place rather than orphaned. Bump this only
+// when the key derivation itself changes (TestCacheKeyGolden pins it).
+const cacheKeyFormat = 1
+
 // cacheKey hashes the complete simulation input. Options.Benchmarks
 // and Options.Schemes are deliberately excluded: they select which
 // runs happen, not what any individual run computes — a cell simulated
@@ -174,9 +182,9 @@ func DiskCacheStats() (diskcache.Stats, error) {
 // MutateAdaptive is a function and cannot be hashed directly; it is
 // canonicalized by its observable effect — the controller
 // configuration it produces from each domain's default. The Format
-// field versions the key itself: bumping diskcache.FormatVersion
-// retires every existing on-disk entry at once. opt must already have
-// defaults applied.
+// field versions the key itself: bumping cacheKeyFormat orphans every
+// existing on-disk entry at once. opt must already have defaults
+// applied.
 func cacheKey(prof trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte, error) {
 	if opt.chipMode() {
 		// Chip-mode cells key on the chip shape as well — core count,
@@ -203,7 +211,7 @@ func cacheKey(prof trace.Profile, scheme Scheme, opt Options) ([sha256.Size]byte
 		Machine          mcd.Config
 		Adaptive         []control.Config
 	}{
-		Format:           diskcache.FormatVersion,
+		Format:           cacheKeyFormat,
 		Profile:          prof,
 		Scheme:           scheme,
 		Instructions:     opt.Instructions,

@@ -145,8 +145,9 @@ func TestCacheKeyCanonicalizesMutator(t *testing.T) {
 // type, the scheme's representation in the key — silently invalidates
 // every cache a user has built. If this test fails, the fix is to
 // restore the key derivation, not to update the constants (unless
-// diskcache.FormatVersion was deliberately bumped, which retires old
-// entries explicitly).
+// cacheKeyFormat was deliberately bumped, which orphans old entries
+// explicitly; an entry-encoding change bumps diskcache.FormatVersion
+// instead and leaves these keys alone).
 func TestCacheKeyGolden(t *testing.T) {
 	golden := map[Scheme]string{
 		SchemeNone:        "a1b6fc3e404c1a72c3f8771a2f99491b02a8f6fbb05df6abbdd7b74b79a08d83",

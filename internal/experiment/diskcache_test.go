@@ -1,12 +1,22 @@
 package experiment
 
 import (
+	"bytes"
+	"compress/gzip"
+	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"mcddvfs/internal/diskcache"
+	"mcddvfs/internal/mcd"
+	"mcddvfs/internal/trace"
 )
 
 // diskOpt is smallOpt with the persistent cache rooted in a fresh
@@ -145,6 +155,93 @@ func TestDiskCacheCorruptEntryResimulates(t *testing.T) {
 	}
 	if n := entryCount(t, opt.CacheDir); n != 1 {
 		t.Errorf("corrupt entry was not healed: %d entries on disk", n)
+	}
+}
+
+// TestDiskCacheMigratesV1Entry asserts an entry written by the
+// gob-encoded v1 store self-heals under the current one. The fixture
+// is a genuine v1 entry for gzip/adaptive at smallOpt, written by the
+// last gob-based build; the cache key did not change with the
+// encoding, so it sits where the current harness looks. A warm render
+// must count it stale, re-simulate that one cell, rewrite it at the
+// current FormatVersion, and render the same bytes as the cold run.
+func TestDiskCacheMigratesV1Entry(t *testing.T) {
+	defer func() { SetCaching(true); ResetCache() }()
+	SetCaching(true)
+	ResetCache()
+	opt := diskOpt(t)
+	ctx := context.Background()
+
+	cold, _, err := RenderArtifactContext(ctx, "fig9", FormatJSON, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	prof, err := trace.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := cacheKey(prof, SchemeAdaptive, opt.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(opt.CacheDir, hex.EncodeToString(k[:])+".res")
+	f, err := os.Open(filepath.Join("testdata", "v1-gzip-adaptive.res.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(v1[4:8]); v != 1 || !bytes.Contains(v1, []byte("QueueSamples")) {
+		t.Fatalf("fixture is not a v1 gob entry (header version %d)", v)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ResetCache()
+	before, _ := DiskCacheStats()
+	warm, _, err := RenderArtifactContext(ctx, "fig9", FormatJSON, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := DiskCacheStats()
+	cells := uint64(len(opt.Benchmarks) * (1 + len(ControlledSchemes())))
+	if got := after.Stale - before.Stale; got != 1 {
+		t.Errorf("v1 entry counted stale %d times, want 1", got)
+	}
+	if hits, writes := after.Hits-before.Hits, after.Writes-before.Writes; hits != cells-1 || writes != 1 {
+		t.Errorf("warm render: %d hits, %d writes; want %d hits and the one stale cell re-simulated and rewritten",
+			hits, writes, cells-1)
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Error("render after migrating the v1 entry differs from the cold render")
+	}
+
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("stale entry was not rewritten: %v", err)
+	}
+	if v := binary.LittleEndian.Uint32(blob[4:8]); v != diskcache.FormatVersion {
+		t.Errorf("rewritten entry is v%d, want v%d", v, diskcache.FormatVersion)
+	}
+	store, err := diskcache.Open(opt.CacheDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res mcd.Result
+	if err := store.Get(k, &res); err != nil {
+		t.Fatalf("rewritten entry does not decode: %v", err)
+	}
+	if res.Benchmark != "gzip" || res.Scheme != string(SchemeAdaptive) {
+		t.Errorf("rewritten entry holds %s/%s", res.Benchmark, res.Scheme)
 	}
 }
 
